@@ -6,6 +6,8 @@
 # 1. release build of the whole workspace
 # 2. full test suite (workspace-wide; the root package alone only runs
 #    the umbrella integration tests)
+# 2b. the repository benchmark's self-tests (perfbench/, its own Cargo
+#    workspace over the same crates)
 # 3. bench smoke: tiny-workload run of the benchmark harness; the CLI
 #    re-parses the emitted JSON and validates the schema, so this also
 #    gates the report format
@@ -73,6 +75,7 @@ set -eu
 
 cargo build --release --workspace
 cargo test --workspace -q
+cargo test --offline --manifest-path perfbench/Cargo.toml
 ./target/release/obfuscade bench --smoke --threads 2 --out target/bench_smoke.json
 
 rm -f target/serve.addr

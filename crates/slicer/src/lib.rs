@@ -47,14 +47,18 @@ mod raster;
 mod slice;
 mod toolpath;
 
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 pub use config::{ConfigError, InfillStyle, SlicerConfig};
 pub use diagnostics::{diagnose_slices, SeamExposure, SliceReport};
 pub use gcode::{parse_gcode, to_gcode, GcodeError};
 pub use orientation::{build_transform, orient_mesh, orient_shells, Orientation};
 pub use preview::{render_layer_ascii, render_layer_with_seam};
 pub use raster::{
-    model_area, rasterize, rasterize_layer, rasterize_layer_scan, rasterize_polygon, CellMaterial,
-    RasterLayer,
+    model_area, rasterize, rasterize_layer, rasterize_layer_runs, rasterize_layer_scan,
+    rasterize_polygon, CellMaterial, LayerRuns, RasterLayer,
 };
 pub use slice::{
     slice_mesh, slice_shells, slice_shells_scan, try_slice_shells, try_slice_shells_with, Contour,

@@ -130,144 +130,6 @@ impl RasterLayer {
         self.body_at(i, j)
     }
 
-    /// Number of 4-connected components of model material — ≥ 2 means the
-    /// layer's cross-section is *disconnected* (the Fig. 7a discontinuity
-    /// signature).
-    pub fn model_components(&self) -> usize {
-        let mut seen = vec![false; self.cells.len()];
-        let mut components = 0;
-        let mut stack = Vec::new();
-        for start in 0..self.cells.len() {
-            if seen[start] || self.cells[start] != CellMaterial::Model {
-                continue;
-            }
-            components += 1;
-            stack.push(start);
-            seen[start] = true;
-            while let Some(idx) = stack.pop() {
-                let (i, j) = (idx % self.nx, idx / self.nx);
-                let mut visit = |ii: usize, jj: usize| {
-                    let nidx = jj * self.nx + ii;
-                    if !seen[nidx] && self.cells[nidx] == CellMaterial::Model {
-                        seen[nidx] = true;
-                        stack.push(nidx);
-                    }
-                };
-                if i > 0 {
-                    visit(i - 1, j);
-                }
-                if i + 1 < self.nx {
-                    visit(i + 1, j);
-                }
-                if j > 0 {
-                    visit(i, j - 1);
-                }
-                if j + 1 < self.ny {
-                    visit(i, j + 1);
-                }
-            }
-        }
-        components
-    }
-
-    /// Minimum horizontal gap (in mm) between two model runs in any row, or
-    /// `None` if no row contains two separated model runs.
-    ///
-    /// A planted seam separates the cross-section by a near-zero gap, while
-    /// legitimately disjoint geometry (e.g. the two grip ends of a dogbone
-    /// sliced in x-z above the gauge band) sits tens of millimetres apart —
-    /// this metric tells them apart.
-    /// Only **empty** gaps count: support-filled spans are deliberate
-    /// geometry (a through-hole the slicer chose to support), not a crack.
-    pub fn min_model_gap(&self) -> Option<f64> {
-        let mut best: Option<usize> = None;
-        for (_, row) in self.rows() {
-            let mut last_model_end: Option<usize> = None;
-            let mut gap_is_empty = true;
-            let mut i = 0;
-            while i < self.nx {
-                match row[i] {
-                    CellMaterial::Model => {
-                        let run_start = i;
-                        while i < self.nx && row[i] == CellMaterial::Model {
-                            i += 1;
-                        }
-                        if let Some(end) = last_model_end {
-                            if gap_is_empty {
-                                let gap = run_start - end;
-                                best = Some(best.map_or(gap, |b| b.min(gap)));
-                            }
-                        }
-                        last_model_end = Some(i);
-                        gap_is_empty = true;
-                    }
-                    CellMaterial::Support => {
-                        gap_is_empty = false;
-                        i += 1;
-                    }
-                    CellMaterial::Empty => {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        best.map(|cells| cells as f64 * self.cell)
-    }
-
-    /// Number of *internal void* cells: empty cells with no 4-connected path
-    /// to the grid border through non-model cells. These are the
-    /// tessellation-gap pockets a planted seam leaves inside the part.
-    pub fn internal_void_cells(&self) -> usize {
-        let mut outside = vec![false; self.cells.len()];
-        let mut stack = Vec::new();
-        // Seed the flood from every non-model border cell.
-        for i in 0..self.nx {
-            for j in [0, self.ny - 1] {
-                let idx = j * self.nx + i;
-                if self.cells[idx] != CellMaterial::Model && !outside[idx] {
-                    outside[idx] = true;
-                    stack.push(idx);
-                }
-            }
-        }
-        for j in 0..self.ny {
-            for i in [0, self.nx - 1] {
-                let idx = j * self.nx + i;
-                if self.cells[idx] != CellMaterial::Model && !outside[idx] {
-                    outside[idx] = true;
-                    stack.push(idx);
-                }
-            }
-        }
-        while let Some(idx) = stack.pop() {
-            let (i, j) = (idx % self.nx, idx / self.nx);
-            let visit = |ii: usize, jj: usize, outside: &mut Vec<bool>, stack: &mut Vec<usize>| {
-                let nidx = jj * self.nx + ii;
-                if !outside[nidx] && self.cells[nidx] != CellMaterial::Model {
-                    outside[nidx] = true;
-                    stack.push(nidx);
-                }
-            };
-            if i > 0 {
-                visit(i - 1, j, &mut outside, &mut stack);
-            }
-            if i + 1 < self.nx {
-                visit(i + 1, j, &mut outside, &mut stack);
-            }
-            if j > 0 {
-                visit(i, j - 1, &mut outside, &mut stack);
-            }
-            if j + 1 < self.ny {
-                visit(i, j + 1, &mut outside, &mut stack);
-            }
-        }
-        self.cells
-            .iter()
-            .zip(&outside)
-            .filter(|&(&c, &out)| c == CellMaterial::Empty && !out)
-            .count()
-    }
-
     /// Iterates rows as `(j, &cells)` slices — used by tool-path generation
     /// and the deposition simulator.
     pub fn rows(&self) -> impl Iterator<Item = (usize, &[CellMaterial])> {
@@ -283,6 +145,60 @@ impl RasterLayer {
     /// Raw body storage, row-major (`u16::MAX` = unassigned).
     pub(crate) fn bodies_raw(&self) -> &[u16] {
         &self.bodies
+    }
+}
+
+/// One maximal run of equal material in a raster row: columns
+/// `start..end` (half-open).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MaterialRun {
+    /// First column of the run.
+    pub start: usize,
+    /// One past the last column of the run.
+    pub end: usize,
+    /// Material of every cell in the run.
+    pub material: CellMaterial,
+}
+
+/// A rasterized layer in run-length form: per row, the maximal material
+/// runs that tile columns `0..nx` left to right — the same
+/// classification as [`RasterLayer`] without the per-cell grid or body
+/// attribution. Slice analysis ([`crate::diagnose_slices`]) works on this
+/// form only.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayerRuns {
+    cell: f64,
+    nx: usize,
+    runs: Vec<MaterialRun>,
+    /// Row `j` is `runs[row_start[j]..row_start[j + 1]]`; `ny + 1` entries.
+    row_start: Vec<usize>,
+}
+
+impl LayerRuns {
+    /// Cell edge length (mm).
+    pub(crate) fn cell_size(&self) -> f64 {
+        self.cell
+    }
+
+    /// Grid dimensions `(columns, rows)`.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.nx, self.row_start.len() - 1)
+    }
+
+    /// Every run, row-major: row 0 left to right, then row 1, …
+    pub(crate) fn runs(&self) -> &[MaterialRun] {
+        &self.runs
+    }
+
+    /// Index in [`runs`](Self::runs) of the first run of each row, plus a
+    /// final entry equal to `runs().len()`.
+    pub(crate) fn row_starts(&self) -> &[usize] {
+        &self.row_start
+    }
+
+    /// Iterates rows as `(j, &runs)` slices.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (usize, &[MaterialRun])> {
+        self.row_start.windows(2).map(|w| &self.runs[w[0]..w[1]]).enumerate()
     }
 }
 
@@ -336,15 +252,26 @@ fn classify(w: i32, w_pos: i32, support: bool) -> CellMaterial {
     }
 }
 
-/// Rasterizes one layer over `bounds` with the given cell size, via the
-/// span-plan scanline pipeline (DESIGN.md §13): a **plan** phase buckets
-/// every edge's row crossings into per-row lists (visiting edges in edge
-/// order, so each row sees its crossings in the same order the scan
-/// variant's per-row filter produces them — the stable sort then yields
-/// the identical sequence), and an **execute** phase converts each row's
-/// sorted crossings into whole-span `slice::fill`s of the winding-constant
-/// intervals between them. [`rasterize_layer_scan`] is the retained
-/// oracle; the two are bit-identical.
+/// Grid dimensions `(nx, ny)` of a raster over `bounds` at `cell`.
+///
+/// # Panics
+///
+/// Panics if `cell` is not positive and finite or `bounds` is empty.
+fn grid_dims(bounds: Aabb2, cell: f64) -> (usize, usize) {
+    assert!(cell.is_finite() && cell > 0.0, "cell size must be positive, got {cell}");
+    let size = bounds.size();
+    assert!(size.x > 0.0 && size.y > 0.0, "raster bounds must be non-empty");
+    ((size.x / cell).ceil().max(1.0) as usize, (size.y / cell).ceil().max(1.0) as usize)
+}
+
+/// Rasterizes one layer over `bounds` with the given cell size into
+/// run-length form, via the span-plan scanline pipeline (DESIGN.md §13): a
+/// **plan** phase buckets every edge's row crossings into per-row lists
+/// (visiting edges in edge order, so each row sees its crossings in the
+/// same order the scan variant's per-row filter produces them — the stable
+/// sort then yields the identical sequence), and an **execute** phase turns
+/// each row's sorted crossings into the winding-constant intervals between
+/// them, merged into maximal runs of one material.
 ///
 /// When `support` is `false`, enclosed-void cells classify as `Empty`
 /// instead of `Support`.
@@ -352,14 +279,8 @@ fn classify(w: i32, w_pos: i32, support: bool) -> CellMaterial {
 /// # Panics
 ///
 /// Panics if `cell` is not positive and finite or `bounds` is empty.
-pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -> RasterLayer {
-    assert!(cell.is_finite() && cell > 0.0, "cell size must be positive, got {cell}");
-    let size = bounds.size();
-    assert!(size.x > 0.0 && size.y > 0.0, "raster bounds must be non-empty");
-    let nx = (size.x / cell).ceil().max(1.0) as usize;
-    let ny = (size.y / cell).ceil().max(1.0) as usize;
-    let mut cells = vec![CellMaterial::Empty; nx * ny];
-
+pub fn rasterize_layer_runs(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -> LayerRuns {
+    let (nx, ny) = grid_dims(bounds, cell);
     let edges = collect_edges(layer);
 
     // Plan: bucket crossings by row. The candidate row window comes from a
@@ -383,20 +304,32 @@ pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -
     }
 
     // Execute: each row's sorted crossings split it into winding-constant
-    // spans, filled whole. A crossing's first owned cell is the first cell
-    // centre at or right of it — the float quotient seeds the boundary and
-    // two reference-comparison nudges make it exact, so every cell lands
-    // on the same side of every crossing as in the scan variant's
-    // `crossings[next].0 <= x` walk.
-    for (j, crossings) in row_crossings.iter_mut().enumerate() {
-        let row = &mut cells[j * nx..(j + 1) * nx];
+    // spans. A crossing's first owned cell is the first cell centre at or
+    // right of it — the float quotient seeds the boundary and two
+    // reference-comparison nudges make it exact, so every cell lands on the
+    // same side of every crossing as in the scan variant's
+    // `crossings[next].0 <= x` walk (a crossing right of the grid clamps
+    // to `nx`, as the walk never reaches it). A span whose material
+    // matches the previous one extends it, so each row's runs are maximal.
+    let mut runs: Vec<MaterialRun> = Vec::new();
+    let mut row_start = Vec::with_capacity(ny + 1);
+    let center = |i: usize| bounds.min.x + (i as f64 + 0.5) * cell;
+    for crossings in &mut row_crossings {
+        let first = runs.len();
+        row_start.push(first);
+        let push = |runs: &mut Vec<MaterialRun>, start: usize, end: usize, material| {
+            if let Some(last) = runs[first..].last_mut().filter(|r| r.material == material) {
+                last.end = end;
+            } else {
+                runs.push(MaterialRun { start, end, material });
+            }
+        };
         crossings.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite crossing x"));
         let mut w = 0i32;
         let mut w_pos = 0i32;
         let mut i = 0usize;
-        let center = |i: usize| bounds.min.x + (i as f64 + 0.5) * cell;
         for &(cx, dw, dpos) in crossings.iter() {
-            let mut b = ((cx - bounds.min.x) / cell - 0.5).ceil().max(0.0) as usize;
+            let mut b = (((cx - bounds.min.x) / cell - 0.5).ceil().max(0.0) as usize).min(nx);
             while b > 0 && cx <= center(b - 1) {
                 b -= 1;
             }
@@ -404,15 +337,38 @@ pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -
                 b += 1;
             }
             if b > i {
-                row[i..b].fill(classify(w, w_pos, support));
+                push(&mut runs, i, b, classify(w, w_pos, support));
                 i = b;
             }
             w -= dw;
             w_pos -= dpos;
         }
-        row[i..nx].fill(classify(w, w_pos, support));
+        if i < nx {
+            push(&mut runs, i, nx, classify(w, w_pos, support));
+        }
     }
+    row_start.push(runs.len());
+    LayerRuns { cell, nx, runs, row_start }
+}
 
+/// Rasterizes one layer over `bounds` with the given cell size: the cell
+/// grid is expanded from [`rasterize_layer_runs`], then model cells are
+/// attributed to bodies for tool-path planning. [`rasterize_layer_scan`]
+/// is the retained oracle; the two are bit-identical.
+///
+/// When `support` is `false`, enclosed-void cells classify as `Empty`
+/// instead of `Support`.
+///
+/// # Panics
+///
+/// Panics if `cell` is not positive and finite or `bounds` is empty.
+pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -> RasterLayer {
+    let runs = rasterize_layer_runs(layer, bounds, cell, support);
+    let (nx, ny) = runs.dims();
+    let mut cells = Vec::with_capacity(nx * ny);
+    for run in &runs.runs {
+        cells.resize(cells.len() + (run.end - run.start), run.material);
+    }
     let bodies = attribute_bodies(&cells, layer, bounds, cell, nx, ny);
     RasterLayer { z: layer.z, origin: bounds.min, cell, nx, ny, cells, bodies }
 }
@@ -422,11 +378,7 @@ pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -
 /// classifies cell by cell. Retained as the span-plan pipeline's oracle —
 /// `raster_span_plan_matches_scan` pins the two bit-identical.
 pub fn rasterize_layer_scan(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -> RasterLayer {
-    assert!(cell.is_finite() && cell > 0.0, "cell size must be positive, got {cell}");
-    let size = bounds.size();
-    assert!(size.x > 0.0 && size.y > 0.0, "raster bounds must be non-empty");
-    let nx = (size.x / cell).ceil().max(1.0) as usize;
-    let ny = (size.y / cell).ceil().max(1.0) as usize;
+    let (nx, ny) = grid_dims(bounds, cell);
     let mut cells = vec![CellMaterial::Empty; nx * ny];
 
     let edges = collect_edges(layer);
@@ -562,14 +514,20 @@ fn attribute_bodies(
     bodies
 }
 
-/// Rasterizes every layer of a sliced model over its common xy bounds
-/// (inflated by one cell so borders stay empty).
-pub fn rasterize(sliced: &SlicedModel, cell: f64, support: bool) -> Vec<RasterLayer> {
-    let bounds2 = Aabb2::new(
+/// The common raster bounds of a sliced model's layers: its xy bounds
+/// inflated by 1.5 cells so borders stay empty.
+pub(crate) fn layer_bounds(sliced: &SlicedModel, cell: f64) -> Aabb2 {
+    Aabb2::new(
         Point2::new(sliced.bounds.min.x, sliced.bounds.min.y),
         Point2::new(sliced.bounds.max.x, sliced.bounds.max.y),
     )
-    .inflated(cell * 1.5);
+    .inflated(cell * 1.5)
+}
+
+/// Rasterizes every layer of a sliced model over its common xy bounds
+/// (inflated by one cell so borders stay empty).
+pub fn rasterize(sliced: &SlicedModel, cell: f64, support: bool) -> Vec<RasterLayer> {
+    let bounds2 = layer_bounds(sliced, cell);
     sliced
         .layers
         .iter()
@@ -599,7 +557,7 @@ mod tests {
     use am_cad::parts::{prism_with_sphere, PrismDims};
     use am_cad::{BodyKind, MaterialRemoval};
     use am_mesh::{tessellate_shells, Resolution};
-    use crate::slice_shells;
+    use crate::{oracle, slice_shells};
 
     fn mid_raster(kind: BodyKind, removal: MaterialRemoval) -> RasterLayer {
         let dims = PrismDims::default();
@@ -621,11 +579,7 @@ mod tests {
             let part = prism_with_sphere(&dims, kind, removal).unwrap().resolve().unwrap();
             let shells = tessellate_shells(&part, &Resolution::Fine.params());
             let sliced = slice_shells(&shells, 0.1778);
-            let bounds2 = Aabb2::new(
-                Point2::new(sliced.bounds.min.x, sliced.bounds.min.y),
-                Point2::new(sliced.bounds.max.x, sliced.bounds.max.y),
-            )
-            .inflated(0.1 * 1.5);
+            let bounds2 = layer_bounds(&sliced, 0.1);
             for support in [true, false] {
                 for layer in &sliced.layers {
                     let planned = rasterize_layer(layer, bounds2, 0.1, support);
@@ -642,8 +596,45 @@ mod tests {
         let raster = rasterize_polygon(&poly, 0.1);
         let area = model_area(&raster);
         assert!((area - 50.0).abs() < 1.0, "area = {area}");
-        assert_eq!(raster.model_components(), 1);
-        assert_eq!(raster.internal_void_cells(), 0);
+        assert_eq!(oracle::model_components(&raster), 1);
+        assert_eq!(oracle::internal_void_cells(&raster), 0);
+        let layer = Layer {
+            z: 0.0,
+            loops: vec![crate::Contour { polygon: poly.clone(), body: 0 }],
+            open_paths: Vec::new(),
+        };
+        let runs = rasterize_layer_runs(&layer, poly.aabb().inflated(0.15), 0.1, true);
+        assert_eq!(runs.model_components(), 1);
+        assert_eq!(runs.internal_void_cells(), 0);
+    }
+
+    #[test]
+    fn runs_are_maximal_and_tile_every_row() {
+        let dims = PrismDims::default();
+        let part = prism_with_sphere(&dims, BodyKind::Solid, MaterialRemoval::Without)
+            .unwrap()
+            .resolve()
+            .unwrap();
+        let shells = tessellate_shells(&part, &Resolution::Fine.params());
+        let sliced = slice_shells(&shells, 0.1778);
+        let bounds2 = layer_bounds(&sliced, 0.1);
+        for layer in &sliced.layers {
+            let runs = rasterize_layer_runs(layer, bounds2, 0.1, true);
+            let raster = rasterize_layer(layer, bounds2, 0.1, true);
+            assert_eq!(runs.dims(), raster.dims());
+            for ((_, row), (_, cells)) in runs.rows().zip(raster.rows()) {
+                assert_eq!(row.first().map(|r| r.start), Some(0));
+                assert_eq!(row.last().map(|r| r.end), Some(cells.len()));
+                for pair in row.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start);
+                    assert_ne!(pair[0].material, pair[1].material);
+                }
+                for r in row {
+                    assert!(r.start < r.end);
+                    assert!(cells[r.start..r.end].iter().all(|&c| c == r.material));
+                }
+            }
+        }
     }
 
     #[test]
@@ -683,7 +674,11 @@ mod tests {
         let center = Point2::new(25.4 / 2.0, 12.7 / 2.0);
         assert_eq!(mid.material_at(center), CellMaterial::Empty);
         // And those empty cells are sealed inside the part.
-        assert!(mid.internal_void_cells() > 0);
+        let voids = oracle::internal_void_cells(mid);
+        assert!(voids > 0);
+        let mid_layer = &sliced.layers[rasters.len() / 2];
+        let runs = rasterize_layer_runs(mid_layer, layer_bounds(&sliced, 0.1), 0.1, false);
+        assert_eq!(runs.internal_void_cells(), voids);
     }
 
     #[test]
@@ -710,12 +705,9 @@ mod tests {
             ],
             open_paths: Vec::new(),
         };
-        let raster = rasterize_layer(
-            &layer,
-            Aabb2::new(Point2::new(-0.5, -0.5), Point2::new(4.5, 1.5)),
-            0.1,
-            true,
-        );
-        assert_eq!(raster.model_components(), 2);
+        let bounds = Aabb2::new(Point2::new(-0.5, -0.5), Point2::new(4.5, 1.5));
+        let raster = rasterize_layer(&layer, bounds, 0.1, true);
+        assert_eq!(oracle::model_components(&raster), 2);
+        assert_eq!(rasterize_layer_runs(&layer, bounds, 0.1, true).model_components(), 2);
     }
 }

@@ -2,10 +2,12 @@
 
 use am_geom::{Aabb2, Point2, Polygon2};
 use am_slicer::{
-    generate_toolpath, rasterize_layer, slice_shells, Contour, Layer, SlicerConfig,
-    ToolMaterial,
+    generate_toolpath, rasterize_layer, rasterize_layer_runs, rasterize_layer_scan, slice_shells,
+    CellMaterial, Contour, Layer, RasterLayer, SlicerConfig, ToolMaterial,
 };
 use proptest::prelude::*;
+
+mod oracle;
 
 fn rect() -> impl Strategy<Value = (f64, f64, f64, f64)> {
     (1.0..40.0f64, 1.0..20.0f64, -20.0..20.0f64, -20.0..20.0f64)
@@ -19,6 +21,98 @@ fn layer_of(polys: Vec<Polygon2>) -> Layer {
     }
 }
 
+/// Cell size of the run-analysis equivalence property.
+const RUN_CELL: f64 = 0.25;
+
+/// A rectangle `(x, y, w, h)` on the `RUN_CELL` lattice, in cells.
+fn lattice_rect() -> impl Strategy<Value = (usize, usize, usize, usize)> {
+    (0usize..40, 0usize..40, 1usize..16, 1usize..16)
+}
+
+/// A multi-loop analysis layer and the raster bounds to analyse it over:
+/// overlapping free and lattice-aligned rectangles, CW circular holes
+/// (support pockets where enclosed), a lattice-aligned split pair whose
+/// halves sit 0–3 cells apart, a lattice-aligned frame whose pocket is
+/// sealed or opened by a 1–3 cell slot in any wall, and one of four grids:
+/// roomy, tight to the frame (or to all loops; model on the border), a
+/// single row, or a single column.
+fn analysis_layer() -> impl Strategy<Value = (Layer, Aabb2)> {
+    (
+        collection::vec((0.0..10.0f64, 0.0..10.0f64, 0.2..6.0f64, 0.2..6.0f64), 0..4),
+        collection::vec(lattice_rect(), 0..3),
+        collection::vec((0.1..0.9f64, 0.1..0.9f64, 0.1..2.0f64), 0..3),
+        (lattice_rect(), 0usize..4, 0usize..2),
+        (lattice_rect(), 1usize..3, (0usize..4, 0usize..4), 0usize..2),
+        (0usize..4, 0.0..12.0f64),
+    )
+        .prop_map(|(free, lattice, holes, split, frame, (grid, cut))| {
+            let c = RUN_CELL;
+            let rect = |x: f64, y: f64, w: f64, h: f64| {
+                Polygon2::rectangle(Point2::new(x, y), Point2::new(x + w, y + h))
+            };
+            let cells = |(x, y, w, h): (usize, usize, usize, usize)| {
+                (x as f64 * c, y as f64 * c, w as f64 * c, h as f64 * c)
+            };
+            let mut polys: Vec<Polygon2> =
+                free.into_iter().map(|(x, y, w, h)| rect(x, y, w, h)).collect();
+            for r in lattice {
+                let (x, y, w, h) = cells(r);
+                polys.push(rect(x, y, w, h));
+            }
+            let (pair, gap, with_pair) = split;
+            if with_pair == 1 {
+                let (x, y, w, h) = cells(pair);
+                polys.push(rect(x, y, w, h));
+                polys.push(rect(x + w + gap as f64 * c, y, w, h));
+            }
+            let (inner, t, (slot, side), with_frame) = frame;
+            let mut tight = None;
+            if with_frame == 1 {
+                let (x, y, w, h) = cells(inner);
+                let (t, slot) = (t as f64 * c, slot as f64 * c);
+                tight = Some(rect(x - t, y - t, w + 2.0 * t, h + 2.0 * t).aabb());
+                polys.push(rect(x - t, y - t, w + 2.0 * t, t));
+                polys.push(rect(x - t, y + h, w + 2.0 * t, t));
+                polys.push(rect(x - t, y, t, h));
+                polys.push(rect(x + w, y, t, h));
+                // A CW rectangle cancels one wall's winding over the slot:
+                // support or empty, opening the pocket on that side.
+                if slot > 0.0 {
+                    let cut = match side {
+                        0 => rect(x - t, y, t, slot),
+                        1 => rect(x + w, y, t, slot),
+                        2 => rect(x, y - t, slot, t),
+                        _ => rect(x, y + h, slot, t),
+                    };
+                    polys.push(cut.reversed());
+                }
+            }
+            if polys.is_empty() {
+                polys.push(rect(1.0, 1.0, 2.0, 2.0));
+            }
+            let host = polys[0].aabb();
+            for (fx, fy, r) in holes {
+                let at = Point2::new(
+                    host.min.x + fx * (host.max.x - host.min.x),
+                    host.min.y + fy * (host.max.y - host.min.y),
+                );
+                polys.push(Polygon2::circle(at, r, 12).reversed());
+            }
+            let tight = tight.unwrap_or_else(|| {
+                Aabb2::from_points(polys.iter().flat_map(|p| p.vertices().to_vec()))
+                    .expect("at least one loop")
+            });
+            let layer = layer_of(polys);
+            let bounds = match grid {
+                0 => Aabb2::new(Point2::new(-1.0, -1.0), Point2::new(17.0, 17.0)),
+                1 => tight,
+                2 => Aabb2::new(Point2::new(-1.0, cut), Point2::new(17.0, cut + 0.2)),
+                _ => Aabb2::new(Point2::new(cut, -1.0), Point2::new(cut + 0.2, 17.0)),
+            };
+            (layer, bounds)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -29,8 +123,11 @@ proptest! {
         let raster = rasterize_layer(&layer, poly.aabb().inflated(0.5), 0.1, true);
         let area = raster.count(am_slicer::CellMaterial::Model) as f64 * 0.01;
         prop_assert!((area - w * h).abs() / (w * h) < 0.1, "area {area} vs {}", w * h);
-        prop_assert_eq!(raster.model_components(), 1);
-        prop_assert_eq!(raster.internal_void_cells(), 0);
+        prop_assert_eq!(oracle::model_components(&raster), 1);
+        prop_assert_eq!(oracle::internal_void_cells(&raster), 0);
+        let runs = rasterize_layer_runs(&layer, poly.aabb().inflated(0.5), 0.1, true);
+        prop_assert_eq!(runs.model_components(), 1);
+        prop_assert_eq!(runs.internal_void_cells(), 0);
     }
 
     #[test]
@@ -158,6 +255,28 @@ proptest! {
                 threads, sx, sy, sz, radius, layer_height
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The run-length slice analysis equals the cell-grid oracles: model
+    /// components, internal void cells and minimum model gap, on random
+    /// multi-loop layers with and without support classification.
+    #[test]
+    fn run_analysis_matches_cell_grid_oracles(
+        (layer, bounds) in analysis_layer(),
+        support in 0usize..2,
+    ) {
+        let support = support == 1;
+        let raster = rasterize_layer(&layer, bounds, RUN_CELL, support);
+        prop_assert_eq!(&raster, &rasterize_layer_scan(&layer, bounds, RUN_CELL, support));
+        let runs = rasterize_layer_runs(&layer, bounds, RUN_CELL, support);
+        prop_assert_eq!(runs.dims(), raster.dims());
+        prop_assert_eq!(runs.model_components(), oracle::model_components(&raster));
+        prop_assert_eq!(runs.internal_void_cells(), oracle::internal_void_cells(&raster));
+        prop_assert_eq!(runs.min_model_gap(), oracle::min_model_gap(&raster));
     }
 }
 
