@@ -8,6 +8,11 @@
 #    the umbrella integration tests)
 # 2b. the repository benchmark's self-tests (perfbench/, its own Cargo
 #    workspace over the same crates)
+# 2c. benchmark harness smoke: a 2-second untraced run of every
+#    workload in BENCHMARK.json through `perfbench/run.py`; each must end
+#    in a result line reporting `"correct":true` and `"failed":0`, so a
+#    broken harness (or a workload that stops reproducing its reference
+#    outputs) fails here rather than in a later benchmark comparison
 # 3. bench smoke: tiny-workload run of the benchmark harness; the CLI
 #    re-parses the emitted JSON and validates the schema, so this also
 #    gates the report format
@@ -76,6 +81,14 @@ set -eu
 cargo build --release --workspace
 cargo test --workspace -q
 cargo test --offline --manifest-path perfbench/Cargo.toml
+for workload in cold-native tensile-study serve-hot serve-churn; do
+    out=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 0)
+    result=$(printf '%s\n' "$out" | tail -n 1)
+    case "$result" in
+        *'"correct":true,'*'"failed":0,'*) echo "benchmark smoke $workload: ok" ;;
+        *) echo "benchmark smoke $workload failed: $result" >&2; exit 1 ;;
+    esac
+done
 ./target/release/obfuscade bench --smoke --threads 2 --out target/bench_smoke.json
 
 rm -f target/serve.addr

@@ -12,8 +12,15 @@
 //!    mesh keys, then all unique slice keys, then all unique tool-path
 //!    keys), fanning the representatives out on the `am-par` pool — within
 //!    a phase the representatives are key-disjoint, so no work duplicates;
-//! 3. runs every plan through [`run_pipeline_cached`], where the shared
-//!    prefix is now a cache hit and only the divergent suffix computes.
+//! 3. runs a tensile phase for the jobs that test: each prints and builds
+//!    its lattice to learn the tensile stage's *content* key (DESIGN.md
+//!    §9), and the first job per distinct lattice solves — plans whose
+//!    prints are byte-identical (an intact bar at two STL resolutions)
+//!    share one solve. The phase is skipped when no job asks for the
+//!    tensile test;
+//! 4. runs every plan through [`run_pipeline_cached`], where the shared
+//!    prefix and every solve are now cache hits and only the remaining
+//!    suffix computes.
 //!
 //! Results are **bit-identical** to independent [`run_pipeline`] calls
 //! (pinned by `tests/batch_determinism.rs`): the cache stores exactly what
@@ -139,28 +146,56 @@ pub fn run_pipeline_jobs_with(
             warm_prefix(job.part, &job.plan, &job.faults, cache, depth, deadline).err()
         });
         for (&i, err) in reps.iter().zip(outcomes) {
-            if let Some(e) = err {
-                // Deadline expiry is a property of the wall clock, not of
-                // the stage key — recording it would replay a spurious
-                // timeout to later batches' jobs sharing the prefix.
-                if matches!(e, PipelineError::DeadlineExceeded { .. }) {
-                    continue;
-                }
-                // Record the error only if the stage it names is a pure
-                // function of this phase's key. Plan-validation errors
-                // (bad slicer config during mesh warming, bad printer
-                // profile during mesh/slice warming) are NOT: two plans
-                // can share a mesh key while only one carries the invalid
-                // config, so attributing the error to the shared key
-                // would poison valid jobs. Those fall through and are
-                // re-derived by the final pass's own validation, which is
-                // cheap.
-                if stage_determined_by(depth, e.stage()) {
-                    failed.insert(select(&keys[i]), e);
-                }
+            // Record the error only if the stage it names is a pure
+            // function of this phase's key. Plan-validation errors (bad
+            // slicer config during mesh warming, bad printer profile
+            // during mesh/slice warming) are NOT: two plans can share a
+            // mesh key while only one carries the invalid config, so
+            // attributing the error to the shared key would poison valid
+            // jobs. Those fall through and are re-derived by the final
+            // pass's own validation, which is cheap.
+            if let Some(e) = err.filter(|e| stage_determined_by(depth, e.stage())) {
+                record_failure(&mut failed, select(&keys[i]), e);
             }
         }
     }
+
+    // Tensile phase: print every tensile job and key it by the content of
+    // its lattice, then solve each distinct lattice once. Plans that print
+    // identical gauge sections (an intact bar at two STL resolutions)
+    // share one solve; the final pass finds every solve cached.
+    let tensile: Vec<usize> = (0..jobs.len())
+        .filter(|&i| {
+            jobs[i].plan.tensile
+                && !shallower_prefix_failed(&failed, &keys[i], PrefixDepth::Lattice)
+        })
+        .collect();
+    let lattice_keys = pool.par_map(&tensile, |&i| {
+        let job = &jobs[i];
+        warm_prefix(job.part, &job.plan, &job.faults, cache, PrefixDepth::Lattice, deadline)
+    });
+    let mut seen: HashSet<StageKey> = HashSet::with_capacity(tensile.len());
+    let mut solve: Vec<usize> = Vec::new();
+    for (&i, outcome) in tensile.iter().zip(lattice_keys) {
+        match outcome {
+            Ok(key) => {
+                if key.is_some_and(|key| seen.insert(key)) {
+                    solve.push(i);
+                }
+            }
+            // The print key pins everything a print and a lattice are
+            // built from — the tool path, printer and seed; the
+            // orientation; and, through the mesh and slice, the joint
+            // contact — so either failure is a pure function of it.
+            Err(e) => record_failure(&mut failed, keys[i].print, e),
+        }
+    }
+    pool.par_map(&solve, |&i| {
+        let job = &jobs[i];
+        // Only the cache entry matters here; an error is re-derived by the
+        // final pass.
+        let _ = run_pipeline_cached_deadline(job.part, &job.plan, &job.faults, cache, deadline);
+    });
 
     let indexed: Vec<usize> = (0..jobs.len()).collect();
     pool.par_map(&indexed, |&i| {
@@ -174,13 +209,31 @@ pub fn run_pipeline_jobs_with(
             .printer
             .validate()
             .map_err(|e| PipelineError::Print(PrintError::Profile(e)))?;
-        for key in [k.mesh, k.slice, k.toolpath] {
+        for key in [k.mesh, k.slice, k.toolpath, k.print] {
             if let Some(e) = failed.get(&key) {
-                return Err(e.clone());
+                // A lattice failure recorded under the print key concerns
+                // only the jobs that go on to the tensile test.
+                if job.plan.tensile || e.stage() != Stage::Test {
+                    return Err(e.clone());
+                }
             }
         }
         run_pipeline_cached_deadline(job.part, &job.plan, &job.faults, cache, deadline)
     })
+}
+
+/// Records a deterministic warm failure against the stage key it is a
+/// pure function of. Deadline expiry is a property of the wall clock, not
+/// of the stage key — recording it would replay a spurious timeout to
+/// later jobs sharing the prefix — so it is dropped.
+fn record_failure(
+    failed: &mut HashMap<StageKey, PipelineError>,
+    key: StageKey,
+    e: PipelineError,
+) {
+    if !matches!(e, PipelineError::DeadlineExceeded { .. }) {
+        failed.insert(key, e);
+    }
 }
 
 /// Whether an error at `stage`, observed while warming to `depth`, is a
@@ -192,15 +245,15 @@ pub fn run_pipeline_jobs_with(
 /// slicer config. The slice key adds orientation, the full slicer config
 /// and slicer faults, so it additionally determines slice failures
 /// (including post-fault config re-validation). The tool-path key hashes
-/// the entire remaining input set — every stage a warm can fail in is a
-/// function of it.
+/// the entire remaining input set of its stages — every stage a warm can
+/// fail in is a function of it.
 fn stage_determined_by(depth: PrefixDepth, stage: Stage) -> bool {
     match depth {
         PrefixDepth::Mesh => matches!(stage, Stage::Cad | Stage::Stl | Stage::Repair),
         PrefixDepth::Slice => {
             matches!(stage, Stage::Cad | Stage::Stl | Stage::Repair | Stage::Slice)
         }
-        PrefixDepth::Toolpath => true,
+        PrefixDepth::Toolpath | PrefixDepth::Lattice => true,
     }
 }
 
@@ -212,13 +265,13 @@ fn shallower_prefix_failed(
     keys: &PlanKeys,
     depth: PrefixDepth,
 ) -> bool {
-    match depth {
-        PrefixDepth::Mesh => false,
-        PrefixDepth::Slice => failed.contains_key(&keys.mesh),
-        PrefixDepth::Toolpath => {
-            failed.contains_key(&keys.mesh) || failed.contains_key(&keys.slice)
-        }
-    }
+    [
+        (PrefixDepth::Mesh, keys.mesh),
+        (PrefixDepth::Slice, keys.slice),
+        (PrefixDepth::Toolpath, keys.toolpath),
+    ]
+    .iter()
+    .any(|&(prefix, key)| prefix < depth && failed.contains_key(&key))
 }
 
 /// First job index per unique stage key — the set of jobs that must run a

@@ -31,6 +31,14 @@
 //! *downstream* of a stage leaves that stage's key (and its cache entry)
 //! shareable with clean runs.
 //!
+//! The tensile stage is the one exception to chaining: its key hashes the
+//! content of the bond lattice the solver reads (and the solver's
+//! configuration), not the chain, so plans that print identical gauge
+//! sections share one solve. It needs no fault poisoning: the solve is a
+//! pure function of the hashed content, so a fault that changes the print
+//! changes the key, and one that leaves the lattice unchanged leaves the
+//! result unchanged too.
+//!
 //! # Determinism contract
 //!
 //! [`am_par::Parallelism`] is deliberately **excluded** from every key:

@@ -24,8 +24,8 @@ use std::time::{Duration, Instant};
 
 use am_cad::{CadError, Part};
 use am_fea::{
-    try_run_tensile_test_reference, FeaConfigError, FeaSolver, Lattice, SolverPool,
-    SolverPoolStats, TensileConfig, TensileResult,
+    try_run_tensile_test_reference, Bond, BondState, FeaConfigError, FeaSolver, Grip, Lattice,
+    Node, SolverPool, SolverPoolStats, TensileConfig, TensileResult,
 };
 use am_geom::Tolerance;
 use am_par::Parallelism;
@@ -922,8 +922,8 @@ fn hash_printer_profile(h: &mut StageHasher, profile: &PrinterProfile) {
 ///
 /// Derivation is pure input hashing — no stage runs — so the batch engine
 /// can group plans by shared prefix before doing any work. The tensile key
-/// is not here: it depends on the joint-contact fraction, which is only
-/// known after slicing.
+/// is not here: it hashes the content of the lattice sampled from the
+/// print (see [`tensile_key`]), which is only known after printing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlanKeys {
     pub(crate) mesh: StageKey,
@@ -1005,20 +1005,96 @@ fn print_key(toolpath: StageKey, plan: &ProcessPlan) -> StageKey {
     h.finish()
 }
 
-/// Tensile-stage key: print key + orientation (selects the bond model) +
-/// the equilibrium solver + the joint-contact fraction, exact to the bit.
-/// The solver enters the key because the two solvers agree only to solver
-/// tolerance, not to the bit — a cache shared between them must never
-/// alias their results (v3 bumps the domain for the added field).
-fn tensile_key(print: StageKey, plan: &ProcessPlan, joint_contact: f64) -> StageKey {
-    let mut h = StageHasher::new("obfuscade/tensile/v3");
-    h.write_key(print);
-    hash_orientation(&mut h, plan.orientation);
-    h.write_u8(match plan.fea_solver {
+/// Tensile-stage key: the content of everything the solver reads — every
+/// field of the pre-solve [`Lattice`] and of its [`TensileConfig`]
+/// (including the equilibrium solver and the joint-contact fraction), plus
+/// the kernel mode, which picks the solver implementation. Unlike the
+/// chained keys above, this one is not derived from the plan: two plans
+/// that print byte-identical gauge sections (an intact bar tessellates to
+/// the same STL at every resolution) build the same lattice and share one
+/// solve. The solver is a pure function of these inputs, so content
+/// keying can never serve a result the solve would not reproduce.
+pub(crate) fn tensile_key(lattice: &Lattice, config: &TensileConfig, mode: KernelMode) -> StageKey {
+    // Every struct is destructured exhaustively, so a field added to the
+    // lattice or the config cannot compile without entering the key.
+    let mut h = StageHasher::new("obfuscade/tensile/v4");
+    let Lattice { nodes, bonds, section_area, gauge_length, spacing } = lattice;
+    h.write_u64(nodes.len() as u64);
+    for Node { pos, grip } in nodes {
+        h.write_f64(pos.x);
+        h.write_f64(pos.y);
+        h.write_u8(match grip {
+            Grip::Fixed => 0,
+            Grip::Moving => 1,
+            Grip::Free => 2,
+        });
+    }
+    h.write_u64(bonds.len() as u64);
+    for bond in bonds {
+        let Bond {
+            nodes: [a, b],
+            rest_length,
+            stiffness,
+            yield_force,
+            breaking_strain,
+            hardening,
+            is_joint,
+            state,
+        } = bond;
+        h.write_u64(u64::from(*a) | (u64::from(*b) << 32));
+        for v in [rest_length, stiffness, yield_force, breaking_strain, hardening] {
+            h.write_f64(*v);
+        }
+        h.write_u8(u8::from(*is_joint));
+        h.write_u8(match state {
+            BondState::Intact => 0,
+            BondState::Broken => 1,
+        });
+    }
+    for v in [section_area, gauge_length, spacing] {
+        h.write_f64(*v);
+    }
+
+    let TensileConfig {
+        node_spacing,
+        gauge_length,
+        gauge_width,
+        thickness,
+        max_strain,
+        strain_step,
+        road_strength,
+        road_ductility,
+        layer_ductility,
+        joint_contact,
+        noise,
+        hardening_ratio,
+        yield_calibration,
+        modulus_calibration,
+        solver,
+    } = config;
+    for v in [
+        node_spacing,
+        gauge_length,
+        gauge_width,
+        thickness,
+        max_strain,
+        strain_step,
+        road_strength,
+        road_ductility,
+        layer_ductility,
+        joint_contact,
+        noise,
+        hardening_ratio,
+        yield_calibration,
+        modulus_calibration,
+    ] {
+        h.write_f64(*v);
+    }
+    h.write_u8(match solver {
         FeaSolver::NewtonPcg => 0,
         FeaSolver::Relaxation => 1,
     });
-    h.write_f64(joint_contact);
+    h.write_u8(mode as u8);
     h.finish()
 }
 
@@ -1269,28 +1345,64 @@ fn print_stage(
     Ok(PrintArtifact { printed: Arc::new(printed), scan: scan_report, outcomes })
 }
 
-/// The virtual tensile test. The optimized kernel runs the plan's
-/// [`FeaSolver`] through the process-wide [`SolverPool`], so replicate
-/// sweeps recycle solver state across specimens.
-fn tensile_stage(
+/// Cold-joint contact fraction of the printed seam. In x-y the seam's
+/// in-plane tessellation gaps reduce the bonded area (fraction of the seam
+/// left open by the chord mismatch); in x-z the gap opens across layers
+/// instead, measured by the fraction of discontinuous layers.
+fn joint_contact(mesh: &MeshArtifact, slice: &SliceArtifact, orientation: Orientation) -> f64 {
+    let slice_report = &slice.slice_report;
+    match (&mesh.seam, orientation) {
+        (Some(s), Orientation::Xy) => {
+            (1.0 - 1.5 * s.chain_mismatch / slice.config.road_width).clamp(0.3, 1.0)
+        }
+        (Some(_), Orientation::Xz) => {
+            let frac = if slice_report.layers == 0 {
+                0.0
+            } else {
+                slice_report.discontinuous_layers as f64 / slice_report.layers as f64
+            };
+            (1.0 - 0.5 * frac).clamp(0.3, 1.0)
+        }
+        (None, _) => 1.0,
+    }
+}
+
+/// First half of the virtual tensile test: the plan's tensile
+/// configuration and the bond lattice sampled from the print. Everything
+/// the solve reads is in the returned pair — it is what [`tensile_key`]
+/// hashes.
+fn build_lattice(
     print: &PrintArtifact,
     plan: &ProcessPlan,
     joint_contact: f64,
-) -> Result<TensileResult, PipelineError> {
-    let tensile_config = TensileConfig {
+) -> Result<(Lattice, TensileConfig), PipelineError> {
+    let config = TensileConfig {
         joint_contact,
         solver: plan.fea_solver,
         ..TensileConfig::fdm(plan.orientation)
     };
-    let mut lattice = Lattice::try_from_printed(&print.printed, &tensile_config, plan.seed)
+    let lattice = Lattice::try_from_printed(&print.printed, &config, plan.seed)
         .map_err(PipelineError::Tensile)?;
-    match kernel_mode() {
-        KernelMode::Optimized | KernelMode::SpanPlan => fea_solver_pool()
-            .run(&mut lattice, &tensile_config, plan.parallelism)
-            .map_err(PipelineError::Tensile),
-        KernelMode::Reference => try_run_tensile_test_reference(&mut lattice, &tensile_config)
-            .map_err(PipelineError::Tensile),
+    Ok((lattice, config))
+}
+
+/// Second half of the virtual tensile test: the solve. The optimized
+/// kernel runs the config's [`FeaSolver`] through the process-wide
+/// [`SolverPool`], so replicate sweeps recycle solver state across
+/// specimens.
+fn solve_lattice(
+    mut lattice: Lattice,
+    config: &TensileConfig,
+    parallelism: Parallelism,
+    mode: KernelMode,
+) -> Result<TensileResult, PipelineError> {
+    match mode {
+        KernelMode::Optimized | KernelMode::SpanPlan => {
+            fea_solver_pool().run(&mut lattice, config, parallelism)
+        }
+        KernelMode::Reference => try_run_tensile_test_reference(&mut lattice, config),
     }
+    .map_err(PipelineError::Tensile)
 }
 
 // --- Cached stage lookup ------------------------------------------------
@@ -1367,17 +1479,42 @@ fn obtain_print(
     }
 }
 
+fn obtain_tensile(
+    lattice: Lattice,
+    config: &TensileConfig,
+    parallelism: Parallelism,
+    cache: Option<&StageCache>,
+) -> Result<Arc<TensileResult>, PipelineError> {
+    let mode = kernel_mode();
+    if let Some(cache) = cache {
+        let key = tensile_key(&lattice, config, mode);
+        if let Some(hit) = cache.get(key).and_then(StageArtifact::into_tensile) {
+            return Ok(hit);
+        }
+        let built = Arc::new(solve_lattice(lattice, config, parallelism, mode)?);
+        cache.insert(key, StageArtifact::Tensile(Arc::clone(&built)), tensile_cost(&built));
+        Ok(built)
+    } else {
+        Ok(Arc::new(solve_lattice(lattice, config, parallelism, mode)?))
+    }
+}
+
 /// How deep [`warm_prefix`] evaluates the chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum PrefixDepth {
     Mesh,
     Slice,
     Toolpath,
+    /// Through the print, then build (but do not solve) the tensile
+    /// lattice, to learn its content key.
+    Lattice,
 }
 
 /// Evaluates (and caches) the chain's shared prefix up to `depth`,
-/// without printing or testing. The batch engine calls this once per
-/// *unique* prefix key so divergent suffixes find their prefix hot.
+/// without testing. The batch engine calls this once per *unique* prefix
+/// key so divergent suffixes find their prefix hot. Warming to
+/// [`PrefixDepth::Lattice`] returns the job's tensile-stage key (the
+/// lattice itself is dropped); every shallower depth returns `None`.
 ///
 /// Errors are returned but never enter the [`StageCache`]; the batch
 /// engine records them in a per-batch side map instead (see
@@ -1391,23 +1528,31 @@ pub(crate) fn warm_prefix(
     cache: &StageCache,
     depth: PrefixDepth,
     deadline: Deadline,
-) -> Result<(), PipelineError> {
+) -> Result<Option<StageKey>, PipelineError> {
     plan.slicer.validate().map_err(PipelineError::InvalidConfig)?;
     plan.printer.validate().map_err(|e| PipelineError::Print(PrintError::Profile(e)))?;
     let keys = plan_keys(part, plan, faults);
     deadline.check(Stage::Cad)?;
     let mesh = obtain_mesh(part, plan, faults, Some((cache, keys.mesh)))?;
     if depth < PrefixDepth::Slice {
-        return Ok(());
+        return Ok(None);
     }
     deadline.check(Stage::Slice)?;
     let slice = obtain_slice(&mesh, plan, faults, Some((cache, keys.slice)))?;
     if depth < PrefixDepth::Toolpath {
-        return Ok(());
+        return Ok(None);
     }
     deadline.check(Stage::ToolPath)?;
-    obtain_toolpath(&slice, plan, faults, Some((cache, keys.toolpath)))?;
-    Ok(())
+    let toolpath = obtain_toolpath(&slice, plan, faults, Some((cache, keys.toolpath)))?;
+    if depth < PrefixDepth::Lattice {
+        return Ok(None);
+    }
+    deadline.check(Stage::Print)?;
+    let print = obtain_print(&toolpath, &slice, plan, Some((cache, keys.print)))?;
+    deadline.check(Stage::Test)?;
+    let (lattice, config) =
+        build_lattice(&print, plan, joint_contact(&mesh, &slice, plan.orientation))?;
+    Ok(Some(tensile_key(&lattice, &config, kernel_mode())))
 }
 
 /// The staged runner behind both [`run_pipeline_with_faults`] (no cache)
@@ -1452,44 +1597,14 @@ fn run_pipeline_inner(
     let print = obtain_print(&toolpath, &slice, plan, with_key(|k| k.print))?;
     stages.extend_from_slice(&print.outcomes);
 
-    // Cold-joint contact: in x-y the seam's in-plane tessellation gaps
-    // reduce the bonded area (fraction of the seam left open by the chord
-    // mismatch); in x-z the gap opens across layers instead, measured by
-    // the fraction of discontinuous layers.
-    let slice_report = &slice.slice_report;
-    let joint_contact = match (&mesh.seam, plan.orientation) {
-        (Some(s), Orientation::Xy) => {
-            (1.0 - 1.5 * s.chain_mismatch / slice.config.road_width).clamp(0.3, 1.0)
-        }
-        (Some(_), Orientation::Xz) => {
-            let frac = if slice_report.layers == 0 {
-                0.0
-            } else {
-                slice_report.discontinuous_layers as f64 / slice_report.layers as f64
-            };
-            (1.0 - 0.5 * frac).clamp(0.3, 1.0)
-        }
-        (None, _) => 1.0,
-    };
+    let joint_contact = joint_contact(&mesh, &slice, plan.orientation);
 
     // --- Virtual tensile test --------------------------------------------
     let tensile = if plan.tensile {
         deadline.check(Stage::Test)?;
         stages.push(StageOutcome { stage: Stage::Test, status: StageStatus::Clean });
-        let result: Arc<TensileResult> = if let Some((cache, keys)) = cache.zip(keys) {
-            let key = tensile_key(keys.print, plan, joint_contact);
-            match cache.get(key).and_then(StageArtifact::into_tensile) {
-                Some(hit) => hit,
-                None => {
-                    let built = Arc::new(tensile_stage(&print, plan, joint_contact)?);
-                    cache.insert(key, StageArtifact::Tensile(Arc::clone(&built)), tensile_cost(&built));
-                    built
-                }
-            }
-        } else {
-            Arc::new(tensile_stage(&print, plan, joint_contact)?)
-        };
-        Some((*result).clone())
+        let (lattice, config) = build_lattice(&print, plan, joint_contact)?;
+        Some((*obtain_tensile(lattice, &config, plan.parallelism, cache)?).clone())
     } else {
         stages.push(StageOutcome { stage: Stage::Test, status: StageStatus::Skipped });
         None
@@ -1604,6 +1719,9 @@ mod tests {
     /// cache would serve wrong artifacts.
     #[test]
     fn key_schema_is_field_sensitive() {
+        // The slice key reads the process-global kernel mode; hold the lock
+        // so a test flipping it cannot re-key a stage mid-comparison.
+        let _guard = crate::perf::KERNEL_MODE_TEST_LOCK.lock().unwrap();
         let part = base_part();
         let plan = ProcessPlan::fdm(Resolution::Coarse, Orientation::Xy);
         let base = keys_for(&part, &plan);
@@ -1782,22 +1900,149 @@ mod tests {
         assert_eq!(reseeded_keys.toolpath, base.toolpath, "seed must not re-key the toolpath");
         assert_ne!(reseeded_keys.print, base.print, "print key insensitive to seed");
 
-        // --- Joint contact, orientation and solver → tensile key ----------
-        let t0 = tensile_key(base.print, &plan, 0.9);
-        assert_ne!(t0, tensile_key(base.print, &plan, 0.90001), "tensile key insensitive to joint contact");
-        assert_ne!(t0, tensile_key(base.print, &turned, 0.9), "tensile key insensitive to orientation");
-
         // The equilibrium solver re-keys the tensile stage and nothing
-        // upstream of it: the two solvers agree only to solver tolerance,
-        // so a shared cache must never serve one solver's curve for the
-        // other.
+        // upstream of it.
         let other_solver = plan.clone().with_fea_solver(FeaSolver::Relaxation);
-        let solver_keys = keys_for(&part, &other_solver);
-        assert_eq!(solver_keys.print, base.print, "fea solver must not re-key the print stage");
+        assert_eq!(
+            keys_for(&part, &other_solver).print,
+            base.print,
+            "fea solver must not re-key the print stage"
+        );
+
+        // --- Lattice content, config and kernel mode → tensile key --------
+        let bar = tensile_bar_with_spline(&TensileBarDims::default()).expect("bar");
+        let (print, contact) = print_for(&bar, &plan);
+        let (lattice, config) = build_lattice(&print, &plan, contact).expect("lattice");
+        let mode = KernelMode::SpanPlan;
+        let t0 = tensile_key(&lattice, &config, mode);
+        assert_eq!(t0, tensile_key(&lattice.clone(), &config.clone(), mode), "key must be deterministic");
+
+        // Joint contact re-keys through the config field alone and through
+        // the joint bonds it weakens.
+        let contact_config = TensileConfig { joint_contact: contact * 0.99, ..config.clone() };
+        assert_ne!(t0, tensile_key(&lattice, &contact_config, mode), "tensile key insensitive to joint contact");
+        let (weaker, weaker_config) = build_lattice(&print, &plan, contact * 0.99).expect("lattice");
+        assert_ne!(t0, tensile_key(&weaker, &weaker_config, mode), "tensile key insensitive to joint bonds");
+
+        // Orientation picks the bond model (and the print).
+        let (turned_print, turned_contact) = print_for(&bar, &turned);
+        let (turned_lattice, turned_config) =
+            build_lattice(&turned_print, &turned, turned_contact).expect("lattice");
+        assert_ne!(t0, tensile_key(&turned_lattice, &turned_config, mode), "tensile key insensitive to orientation");
+
+        // The two solvers agree only to solver tolerance, so a shared
+        // cache must never serve one solver's curve for the other.
+        let (same_lattice, solver_config) = build_lattice(&print, &other_solver, contact).expect("lattice");
+        assert_ne!(t0, tensile_key(&same_lattice, &solver_config, mode), "tensile key insensitive to the fea solver");
+
+        // The seed jitters bond properties on the very same print.
+        let (jittered, jittered_config) =
+            build_lattice(&print, &plan.clone().with_seed(plan.seed + 1), contact).expect("lattice");
+        assert_ne!(t0, tensile_key(&jittered, &jittered_config, mode), "tensile key insensitive to the seed");
+
+        // Each kernel mode picks a solver implementation of its own.
+        for other in [KernelMode::Reference, KernelMode::Optimized] {
+            assert_ne!(t0, tensile_key(&lattice, &config, other), "tensile key aliases {other:?} and {mode:?}");
+        }
+
+        // Every lattice field, on the middle node and the middle bond.
+        type Perturbation<T> = (&'static str, fn(&mut T));
+        fn node(l: &mut Lattice) -> &mut Node {
+            let mid = l.nodes.len() / 2;
+            &mut l.nodes[mid]
+        }
+        fn bond(l: &mut Lattice) -> &mut Bond {
+            let mid = l.bonds.len() / 2;
+            &mut l.bonds[mid]
+        }
+        let lattice_perturbations: Vec<Perturbation<Lattice>> = vec![
+            ("node pos.x", |l| node(l).pos.x += 1e-9),
+            ("node pos.y", |l| node(l).pos.y += 1e-9),
+            ("node grip", |l| {
+                let n = node(l);
+                n.grip = if n.grip == Grip::Free { Grip::Fixed } else { Grip::Free };
+            }),
+            ("bond endpoint a", |l| bond(l).nodes[0] ^= 1),
+            ("bond endpoint b", |l| bond(l).nodes[1] ^= 1),
+            ("bond rest_length", |l| bond(l).rest_length *= 1.0 + 1e-12),
+            ("bond stiffness", |l| bond(l).stiffness *= 1.0 + 1e-12),
+            ("bond yield_force", |l| bond(l).yield_force *= 1.0 + 1e-12),
+            ("bond breaking_strain", |l| bond(l).breaking_strain *= 1.0 + 1e-12),
+            ("bond hardening", |l| bond(l).hardening *= 1.0 + 1e-12),
+            ("bond is_joint", |l| bond(l).is_joint ^= true),
+            ("bond state", |l| bond(l).state = BondState::Broken),
+            ("section_area", |l| l.section_area *= 1.0 + 1e-12),
+            ("gauge_length", |l| l.gauge_length *= 1.0 + 1e-12),
+            ("spacing", |l| l.spacing *= 1.0 + 1e-12),
+        ];
+        for (what, perturb) in lattice_perturbations {
+            let mut changed = lattice.clone();
+            perturb(&mut changed);
+            assert_ne!(t0, tensile_key(&changed, &config, mode), "tensile key insensitive to {what}");
+        }
+
+        // Every config field.
+        let config_perturbations: Vec<Perturbation<TensileConfig>> = vec![
+            ("node_spacing", |c| c.node_spacing *= 1.0 + 1e-12),
+            ("gauge_length", |c| c.gauge_length *= 1.0 + 1e-12),
+            ("gauge_width", |c| c.gauge_width *= 1.0 + 1e-12),
+            ("thickness", |c| c.thickness *= 1.0 + 1e-12),
+            ("max_strain", |c| c.max_strain *= 1.0 + 1e-12),
+            ("strain_step", |c| c.strain_step *= 1.0 + 1e-12),
+            ("road_strength", |c| c.road_strength *= 1.0 + 1e-12),
+            ("road_ductility", |c| c.road_ductility *= 1.0 + 1e-12),
+            ("layer_ductility", |c| c.layer_ductility *= 1.0 + 1e-12),
+            ("joint_contact", |c| c.joint_contact *= 1.0 + 1e-12),
+            ("noise", |c| c.noise *= 1.0 + 1e-12),
+            ("hardening_ratio", |c| c.hardening_ratio *= 1.0 + 1e-12),
+            ("yield_calibration", |c| c.yield_calibration *= 1.0 + 1e-12),
+            ("modulus_calibration", |c| c.modulus_calibration *= 1.0 + 1e-12),
+            ("solver", |c| c.solver = FeaSolver::Relaxation),
+        ];
+        for (what, perturb) in config_perturbations {
+            let mut changed = config.clone();
+            perturb(&mut changed);
+            assert_ne!(t0, tensile_key(&lattice, &changed, mode), "tensile key insensitive to config {what}");
+        }
+    }
+
+    /// The uncached chain through the print, plus the joint contact the
+    /// tensile stage would use.
+    fn print_for(part: &Part, plan: &ProcessPlan) -> (PrintArtifact, f64) {
+        let faults = FaultPlan::none();
+        let mesh = mesh_stage(part, plan, &faults).expect("mesh");
+        let slice = slice_stage(&mesh, plan, &faults).expect("slice");
+        let toolpath = toolpath_stage(&slice, plan, &faults).expect("toolpath");
+        let print = print_stage(&toolpath, &slice, plan).expect("print");
+        (print, joint_contact(&mesh, &slice, plan.orientation))
+    }
+
+    /// The positive side of content keying: the intact bar is a box, so it
+    /// tessellates, slices and prints identically at every STL resolution
+    /// and both resolutions share one tensile key — while the spline-split
+    /// bar's seam moves with the resolution and its keys must differ.
+    #[test]
+    fn tensile_key_is_shared_exactly_by_identical_lattices() {
+        let dims = TensileBarDims::default();
+        let intact = am_cad::parts::tensile_bar(&dims).expect("bar");
+        let split = tensile_bar_with_spline(&dims).expect("bar");
+        let key = |part: &Part, resolution: Resolution, orientation: Orientation| {
+            let plan = ProcessPlan::fdm(resolution, orientation).with_tensile(true);
+            let (print, contact) = print_for(part, &plan);
+            let (lattice, config) = build_lattice(&print, &plan, contact).expect("lattice");
+            tensile_key(&lattice, &config, KernelMode::SpanPlan)
+        };
+        for orientation in Orientation::ALL {
+            assert_eq!(
+                key(&intact, Resolution::Coarse, orientation),
+                key(&intact, Resolution::Fine, orientation),
+                "intact {orientation}: Coarse and Fine lattices must share a key"
+            );
+        }
         assert_ne!(
-            tensile_key(base.print, &plan, 0.9),
-            tensile_key(base.print, &other_solver, 0.9),
-            "tensile key insensitive to the fea solver"
+            key(&split, Resolution::Coarse, Orientation::Xy),
+            key(&split, Resolution::Fine, Orientation::Xy),
+            "split bar: Coarse and Fine lattices must not share a key"
         );
     }
 
@@ -1805,6 +2050,9 @@ mod tests {
     /// re-key the stage they strike, and only that stage's chain.
     #[test]
     fn fault_entries_poison_their_stage_key() {
+        // The slice key reads the process-global kernel mode; hold the lock
+        // so a test flipping it cannot re-key a stage mid-comparison.
+        let _guard = crate::perf::KERNEL_MODE_TEST_LOCK.lock().unwrap();
         let part = base_part();
         let plan = ProcessPlan::fdm(Resolution::Coarse, Orientation::Xy);
         let clean = plan_keys(&part, &plan, &FaultPlan::none());

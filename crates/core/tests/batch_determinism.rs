@@ -10,15 +10,16 @@
 //! `Debug` rendering of the whole `Result` makes the check exhaustive: a
 //! single ULP of drift anywhere in the output breaks the string equality.
 
-use am_cad::parts::{prism_with_sphere, PrismDims};
+use am_cad::parts::{prism_with_sphere, tensile_bar, PrismDims, TensileBarDims};
 use am_cad::{BodyKind, MaterialRemoval, Part};
 use am_geom::Point3;
 use am_mesh::Resolution;
 use am_par::Parallelism;
 use am_slicer::{Orientation, SlicerConfig};
 use obfuscade::{
-    run_pipeline, run_pipeline_batch_with, run_pipeline_cached, run_pipeline_with_faults,
-    sweep_key_space, FaultPlan, FeaSolver, ProcessKey, ProcessPlan, StageCache,
+    run_pipeline, run_pipeline_batch_with, run_pipeline_cached, run_pipeline_jobs,
+    run_pipeline_with_faults, sweep_key_space, BatchJob, FaultPlan, FeaSolver, ProcessKey,
+    ProcessPlan, Stage, StageCache,
 };
 use proptest::prelude::*;
 
@@ -223,5 +224,60 @@ fn faulted_runs_never_alias_clean_ones_in_a_shared_cache() {
         let hot_faulted = format!("{:?}", run_pipeline_cached(&part, &plan, &faulted, &cache));
         assert_eq!(cold_clean, hot_clean);
         assert_eq!(cold_faulted, hot_faulted);
+    }
+}
+
+/// Content-keyed tensile stage in the batch engine: the intact bar is a
+/// box, so its Coarse and Fine plans print identical gauge sections and
+/// build byte-identical lattices — the batch must solve that lattice once,
+/// not once per resolution, and still return exactly what independent
+/// runs return. Two faulted jobs whose print fails (every road dropped)
+/// share one print key: the first records the failure while prints warm,
+/// the second replays it, and neither may disturb the clean jobs.
+#[test]
+fn identical_lattices_solve_once_per_batch() {
+    let bar = tensile_bar(&TensileBarDims::default()).expect("bar");
+    let plan = |resolution: Resolution, tensile: bool| {
+        ProcessPlan::fdm(resolution, Orientation::Xy).with_seed(3).with_tensile(tensile)
+    };
+    let no_roads = fault_plan("toolpath.drop=1", 5);
+    let jobs_for = |tensile: bool| {
+        vec![
+            BatchJob { part: &bar, plan: plan(Resolution::Coarse, tensile), faults: FaultPlan::none() },
+            BatchJob { part: &bar, plan: plan(Resolution::Fine, tensile), faults: FaultPlan::none() },
+            BatchJob { part: &bar, plan: plan(Resolution::Fine, tensile), faults: no_roads.clone() },
+            BatchJob { part: &bar, plan: plan(Resolution::Coarse, tensile), faults: no_roads.clone() },
+        ]
+    };
+    let jobs = jobs_for(true);
+    let independent: Vec<String> = jobs
+        .iter()
+        .map(|job| format!("{:?}", run_pipeline_with_faults(job.part, &job.plan, &job.faults)))
+        .collect();
+    let failure = run_pipeline_with_faults(&bar, &jobs[2].plan, &no_roads).expect_err("no roads");
+    assert_eq!(failure.stage(), Stage::Print, "the faulted job must fail at the print: {failure}");
+
+    for threads in [1usize, 2] {
+        let cache = StageCache::default();
+        let batch = run_pipeline_jobs(&jobs, &cache, Parallelism::threads(threads));
+        assert_eq!(batch.len(), jobs.len());
+        for (slot, (cold, hot)) in independent.iter().zip(&batch).enumerate() {
+            assert_eq!(cold, &format!("{hot:?}"), "batch slot {slot} diverged at threads={threads}");
+        }
+
+        // The same batch without the tensile test inserts every other
+        // stage artifact; the tensile test adds exactly one entry.
+        let untested = StageCache::default();
+        for result in run_pipeline_jobs(&jobs_for(false), &untested, Parallelism::threads(threads))
+            .iter()
+            .take(2)
+        {
+            assert!(result.is_ok(), "clean tensile-off job failed: {result:?}");
+        }
+        assert_eq!(
+            cache.stats().insertions,
+            untested.stats().insertions + 1,
+            "threads={threads}: Coarse and Fine intact lattices must share one solve"
+        );
     }
 }

@@ -341,16 +341,22 @@ pub(crate) struct BondParam {
     pub(crate) hardening: f64,
 }
 
-/// Per-bond tangent-stiffness coefficients cached by the Newton solver's
-/// residual pass: the current unit direction `u`, the constitutive tangent
-/// `kt` (elastic or hardening slope), and the geometric term `geo = f/L`.
-/// The bond's 2×2 tangent block is `B = kt·(u⊗u) + geo·(I − u⊗u)`.
+/// Per-bond tangent-stiffness record cached by the Newton solver's
+/// residual pass: the endpoints, the current unit direction `u`, the
+/// geometric term `geo = f/L` and `dk = kt − geo`, where `kt` is the
+/// constitutive tangent (elastic or hardening slope). The bond's 2×2
+/// tangent block is `B = kt·(u⊗u) + geo·(I − u⊗u) = geo·I + dk·(u⊗u)`.
+/// Carrying the endpoints here lets the Hessian-vector product and the
+/// preconditioner assembly stream this one array without touching
+/// [`BondParam`].
 #[derive(Clone, Copy, Default)]
 pub(crate) struct BondTang {
+    pub(crate) a: u32,
+    pub(crate) b: u32,
     pub(crate) ux: f64,
     pub(crate) uy: f64,
-    pub(crate) kt: f64,
     pub(crate) geo: f64,
+    pub(crate) dk: f64,
 }
 
 /// Structure-of-arrays solver state.
@@ -400,7 +406,7 @@ pub(crate) struct Solver {
 
 impl Solver {
     /// An empty solver shell; every buffer is filled by [`Solver::reset`].
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Solver {
             pos: Vec::new(),
             grip: Vec::new(),
@@ -439,7 +445,7 @@ impl Solver {
     /// The numeric results are bit-identical to a freshly built solver:
     /// same accumulation orders, every field the solve reads is
     /// reinitialized here.
-    fn reset(&mut self, lattice: &Lattice) {
+    pub(crate) fn reset(&mut self, lattice: &Lattice) {
         let n = lattice.nodes.len();
         let m = lattice.bonds.len();
         let topo_same = self.pos.len() == n

@@ -275,6 +275,47 @@ mod tests {
         assert_eq!((stats.builds, stats.reuses), (1, 1), "{stats:?}");
     }
 
+    /// FNV-1a over the exact bits of a result's curve, fracture path and
+    /// rupture verdict.
+    fn result_digest(r: &TensileResult) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for &(strain, stress) in &r.curve {
+            eat(strain.to_bits());
+            eat(stress.to_bits());
+        }
+        for p in &r.fracture_path {
+            eat(p.x.to_bits());
+            eat(p.y.to_bits());
+        }
+        eat(u64::from(r.ruptured));
+        h
+    }
+
+    /// Golden bits of the Newton–PCG solve on both build orientations of a
+    /// split bar. The solver's arithmetic is part of the stage-cache
+    /// contract (cached results must equal recomputed ones), so a change
+    /// that moves any float here — a reordered sum, a fused multiply-add —
+    /// must be deliberate, with the tensile key's domain bumped alongside.
+    #[test]
+    fn newton_pcg_results_are_pinned_bit_for_bit() {
+        for (orientation, golden) in [(Orientation::Xy, GOLDEN_XY), (Orientation::Xz, GOLDEN_XZ)] {
+            let printed = print_bar(true, orientation, 5);
+            let config = quick_config(orientation);
+            let mut lattice = Lattice::from_printed(&printed, &config, 5);
+            let r = try_run_tensile_test_with(&mut lattice, &config, am_par::Parallelism::serial())
+                .expect("valid config");
+            assert!(!r.fracture_path.is_empty(), "{orientation}: the golden run must break bonds");
+            assert_eq!(result_digest(&r), golden, "{orientation}: {:#018x}", result_digest(&r));
+        }
+    }
+    const GOLDEN_XY: u64 = 0x3f79_4322_e75a_e5b6;
+    const GOLDEN_XZ: u64 = 0x1477_2b55_f107_61bb;
+
     #[test]
     fn solver_counters_accumulate() {
         // Counters are process-global and other tests run concurrently, so

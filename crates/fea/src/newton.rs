@@ -15,12 +15,14 @@
 //! with a block-Jacobi-preconditioned conjugate gradient (one 2×2 nodal
 //! block per node — the diagonal lattice bonds couple x/y strongly, and the
 //! block inverse roughly halves the iteration count of a plain diagonal
-//! Jacobi). `K` is never formed: the Hessian-vector product streams the
-//! same packed [`BondParam`] array the force pass reads, writing each
-//! bond's block-times-difference and scattering `±h` **in ascending bond
-//! order** — the same fixed reduction order the relaxation kernel's CSR
-//! gather pins down (see [`crate::kernel`]). All CG scalars (dot products)
-//! are computed serially in node order on the calling thread, so the solve
+//! Jacobi). `K` is never formed: the residual pass caches one packed
+//! [`BondTang`] record per bond (endpoints + tangent coefficients), and the
+//! Hessian-vector product streams that array alone, writing each bond's
+//! block-times-difference and scattering `±h` **in ascending bond order** —
+//! the same fixed reduction order the relaxation kernel's CSR gather pins
+//! down (see [`crate::kernel`]). All CG scalars (dot products) are
+//! accumulated serially in node order on the calling thread, fused into
+//! the loops that produce their operands, so the solve
 //! is bit-identical regardless of the session's thread budget; at these
 //! lattice sizes (10³–10⁴ DOF) a Newton step costs a few
 //! force-pass-equivalents and threading the inner loop would be pure
@@ -172,7 +174,7 @@ impl Solver {
             let d = (pos[b] + disp[b]) - (pos[a] + disp[a]);
             let len = d.length();
             if len < 1e-12 {
-                tang[i] = BondTang::default();
+                tang[i] = BondTang { a: p.a, b: p.b, ..BondTang::default() };
                 continue;
             }
             let f_elastic = p.stiffness * (len - p.rest);
@@ -190,7 +192,8 @@ impl Solver {
             let fv = u * f;
             force[a] += fv;
             force[b] -= fv;
-            tang[i] = BondTang { ux: u.x, uy: u.y, kt, geo: f * inv_len };
+            let geo = f * inv_len;
+            tang[i] = BondTang { a: p.a, b: p.b, ux: u.x, uy: u.y, geo, dk: kt - geo };
         }
         let mut max_sq = 0.0f64;
         let mut sum_sq = 0.0f64;
@@ -208,79 +211,84 @@ impl Solver {
     /// Block-Jacobi preconditioner entries: each node's full 2×2 tangent
     /// block `[xx, xy; xy, yy]`, assembled per bond in ascending order.
     fn build_diag(&mut self) {
-        let Solver { params, tang, diag, diag_xy, .. } = self;
+        let Solver { tang, diag, diag_xy, .. } = self;
         for d in diag.iter_mut() {
             *d = Vec2::ZERO;
         }
         for d in diag_xy.iter_mut() {
             *d = 0.0;
         }
-        for (p, t) in params.iter().zip(tang.iter()) {
-            let dk = t.kt - t.geo;
-            let c = Vec2::new(t.geo + dk * t.ux * t.ux, t.geo + dk * t.uy * t.uy);
-            let cxy = dk * t.ux * t.uy;
-            diag[p.a as usize] += c;
-            diag_xy[p.a as usize] += cxy;
-            diag[p.b as usize] += c;
-            diag_xy[p.b as usize] += cxy;
+        for t in tang.iter() {
+            let c = Vec2::new(t.geo + t.dk * t.ux * t.ux, t.geo + t.dk * t.uy * t.uy);
+            let cxy = t.dk * t.ux * t.uy;
+            diag[t.a as usize] += c;
+            diag_xy[t.a as usize] += cxy;
+            diag[t.b as usize] += c;
+            diag_xy[t.b as usize] += cxy;
         }
     }
 
     /// Deterministic Hessian-vector product `cg_q = K · cg_p` over the
-    /// active DOF (grip x-DOF projected out). One fused serial pass:
-    /// each bond's block-times-difference is scattered `±h` in ascending
-    /// bond order — exactly the reduction order the CSR gather defines —
-    /// so the product is bit-stable under any thread budget.
-    fn apply_tangent(&mut self) {
-        let Solver { params, tang, grip, cg_p, cg_q, .. } = self;
+    /// active DOF (grip x-DOF projected out), returning `cg_p · cg_q`.
+    /// One fused serial pass over the packed tangent records: each bond's
+    /// block-times-difference is scattered `±h` in ascending bond order —
+    /// exactly the reduction order the CSR gather defines — so the product
+    /// is bit-stable under any thread budget. The dot product rides the
+    /// projection loop in node order, the same sum `dot` would form.
+    fn apply_tangent(&mut self) -> f64 {
+        let Solver { tang, grip, cg_p, cg_q, .. } = self;
         for q in cg_q.iter_mut() {
             *q = Vec2::ZERO;
         }
-        for (p, t) in params.iter().zip(tang.iter()) {
-            let a = p.a as usize;
-            let b = p.b as usize;
+        for t in tang.iter() {
+            let a = t.a as usize;
+            let b = t.b as usize;
             let w = cg_p[a] - cg_p[b];
-            let axial = (t.kt - t.geo) * (t.ux * w.x + t.uy * w.y);
+            let axial = t.dk * (t.ux * w.x + t.uy * w.y);
             let h = Vec2::new(t.geo * w.x + axial * t.ux, t.geo * w.y + axial * t.uy);
             cg_q[a] += h;
             cg_q[b] -= h;
         }
-        for (q, g) in cg_q.iter_mut().zip(grip.iter()) {
+        let mut pq = 0.0;
+        for ((q, g), p) in cg_q.iter_mut().zip(grip.iter()).zip(cg_p.iter()) {
             if *g != Grip::Free {
                 q.x = 0.0;
             }
+            pq += p.x * q.x + p.y * q.y;
         }
+        pq
     }
 
-    /// `cg_z = M⁻¹ cg_r` with the block-Jacobi preconditioner: each node's
+    /// `cg_z = M⁻¹ cg_r` with the block-Jacobi preconditioner, returning
+    /// `cg_r · cg_z` (summed in node order, as `dot` would). Each node's
     /// 2×2 block is inverted exactly when it is safely positive definite
     /// (grip nodes use only their free y/y entry); otherwise the node
     /// falls back to the |diag| scaling, which keeps `M` positive definite
     /// when compression makes an entry negative. Zero rows (isolated DOF,
     /// whose residual is also zero) get `z = 0` and never move.
-    fn precondition(&mut self) {
+    fn precondition(&mut self) -> f64 {
         let Solver { grip, diag, diag_xy, cg_r, cg_z, .. } = self;
-        for i in 0..cg_r.len() {
+        let mut rz = 0.0;
+        for (i, (r, z)) in cg_r.iter().zip(cg_z.iter_mut()).enumerate() {
             let d = diag[i];
-            let r = cg_r[i];
-            if grip[i] != Grip::Free {
+            *z = if grip[i] != Grip::Free {
                 // Only the y DOF is active; r.x is already projected to 0.
-                let zy = if d.y.abs() > 1e-300 { r.y / d.y.abs() } else { 0.0 };
-                cg_z[i] = Vec2::new(0.0, zy);
-                continue;
-            }
-            let xy = diag_xy[i];
-            let det = d.x * d.y - xy * xy;
-            if d.x > 0.0 && det > 1e-12 * d.x * d.x {
-                cg_z[i] =
-                    Vec2::new((d.y * r.x - xy * r.y) / det, (d.x * r.y - xy * r.x) / det);
+                Vec2::new(0.0, if d.y.abs() > 1e-300 { r.y / d.y.abs() } else { 0.0 })
             } else {
-                cg_z[i] = Vec2::new(
-                    if d.x.abs() > 1e-300 { r.x / d.x.abs() } else { 0.0 },
-                    if d.y.abs() > 1e-300 { r.y / d.y.abs() } else { 0.0 },
-                );
-            }
+                let xy = diag_xy[i];
+                let det = d.x * d.y - xy * xy;
+                if d.x > 0.0 && det > 1e-12 * d.x * d.x {
+                    Vec2::new((d.y * r.x - xy * r.y) / det, (d.x * r.y - xy * r.x) / det)
+                } else {
+                    Vec2::new(
+                        if d.x.abs() > 1e-300 { r.x / d.x.abs() } else { 0.0 },
+                        if d.y.abs() > 1e-300 { r.y / d.y.abs() } else { 0.0 },
+                    )
+                }
+            };
+            rz += r.x * z.x + r.y * z.y;
         }
+        rz
     }
 
     /// Block-Jacobi PCG on the current tangent system, writing the
@@ -291,31 +299,36 @@ impl Solver {
     /// accumulated partial step (or, on the very first iteration, the
     /// preconditioned gradient) is still a descent direction for the line
     /// search to judge.
+    ///
+    /// Every CG scalar is accumulated inside the pass that produces its
+    /// operands (`r·r` in the residual update, `p·q` in the product,
+    /// `r·z` in the preconditioner), term for term in node order, so the
+    /// fused loop computes exactly the floats separate `dot` passes would.
     fn pcg(&mut self) -> usize {
-        let n = self.pos.len();
-        for i in 0..n {
-            let mut r = self.force[i];
-            if self.grip[i] != Grip::Free {
-                r.x = 0.0;
+        let mut rr0 = 0.0;
+        {
+            let Solver { force, grip, cg_r, delta, .. } = &mut *self;
+            for (((r, d), f), g) in cg_r.iter_mut().zip(delta.iter_mut()).zip(force.iter()).zip(grip.iter()) {
+                *r = *f;
+                if *g != Grip::Free {
+                    r.x = 0.0;
+                }
+                *d = Vec2::ZERO;
+                rr0 += r.x * r.x + r.y * r.y;
             }
-            self.cg_r[i] = r;
-            self.delta[i] = Vec2::ZERO;
         }
-        let rr0 = dot(&self.cg_r, &self.cg_r);
         if rr0 == 0.0 {
             return 0;
         }
         let stop = rr0 * CG_FORCING * CG_FORCING;
-        self.precondition();
+        let mut rho = self.precondition();
         self.cg_p.clone_from(&self.cg_z);
-        let mut rho = dot(&self.cg_r, &self.cg_z);
         let mut used = 0usize;
         for iter in 0..MAX_PCG {
             if rho <= 0.0 {
                 break;
             }
-            self.apply_tangent();
-            let pq = dot(&self.cg_p, &self.cg_q);
+            let pq = self.apply_tangent();
             if pq <= 0.0 {
                 if iter == 0 {
                     self.delta.clone_from(&self.cg_z);
@@ -323,21 +336,26 @@ impl Solver {
                 break;
             }
             let alpha = rho / pq;
-            for i in 0..n {
-                self.delta[i] += self.cg_p[i] * alpha;
-                self.cg_r[i] -= self.cg_q[i] * alpha;
+            let mut rr = 0.0;
+            {
+                let Solver { delta, cg_r, cg_p, cg_q, .. } = &mut *self;
+                for (((d, r), p), q) in delta.iter_mut().zip(cg_r.iter_mut()).zip(cg_p.iter()).zip(cg_q.iter()) {
+                    *d += *p * alpha;
+                    *r -= *q * alpha;
+                    rr += r.x * r.x + r.y * r.y;
+                }
             }
             counters::add_pcg(1);
             used += 1;
-            if dot(&self.cg_r, &self.cg_r) <= stop {
+            if rr <= stop {
                 break;
             }
-            self.precondition();
-            let rho_next = dot(&self.cg_r, &self.cg_z);
+            let rho_next = self.precondition();
             let beta = rho_next / rho;
             rho = rho_next;
-            for i in 0..n {
-                self.cg_p[i] = self.cg_z[i] + self.cg_p[i] * beta;
+            let Solver { cg_p, cg_z, .. } = &mut *self;
+            for (p, z) in cg_p.iter_mut().zip(cg_z.iter()) {
+                *p = *z + *p * beta;
             }
         }
         used
@@ -359,13 +377,108 @@ enum NewtonOutcome {
     Stalled,
 }
 
-/// Serial dot product in fixed node order. The CG scalars are part of the
-/// determinism contract, so they are never computed with a parallel (or
-/// otherwise order-varying) reduction.
+/// Serial dot product in fixed node order — the sum every fused CG scalar
+/// must reproduce bit for bit (pinned by the tests below). The CG scalars
+/// are part of the determinism contract, so they are never computed with
+/// a parallel (or otherwise order-varying) reduction.
+#[cfg(test)]
 fn dot(a: &[Vec2], b: &[Vec2]) -> f64 {
     let mut acc = 0.0;
     for (x, y) in a.iter().zip(b) {
         acc += x.x * y.x + x.y * y.y;
     }
     acc
+}
+
+#[cfg(test)]
+mod tests {
+    use am_geom::Point2;
+
+    use super::*;
+    use crate::{Bond, BondState, Lattice, Node};
+
+    /// A 7×4 grid lattice (axial + diagonal bonds, grips at both ends,
+    /// one broken bond) with varied stiffness and low yield forces, so a
+    /// deformed state mixes elastic, hardening, compressed and dead bonds.
+    fn mixed_lattice() -> Lattice {
+        let (nx, ny) = (7usize, 4usize);
+        let mut nodes = Vec::new();
+        for j in 0..ny {
+            for i in 0..nx {
+                let grip = match i {
+                    0 => Grip::Fixed,
+                    _ if i == nx - 1 => Grip::Moving,
+                    _ => Grip::Free,
+                };
+                nodes.push(Node { pos: Point2::new(i as f64, j as f64), grip });
+            }
+        }
+        let mut bonds = Vec::new();
+        let mut link = |a: usize, b: usize| {
+            let k = bonds.len() as f64;
+            let rest = nodes[a].pos.distance(nodes[b].pos);
+            bonds.push(Bond {
+                nodes: [a as u32, b as u32],
+                rest_length: rest,
+                stiffness: 100.0 + 7.0 * (k % 5.0),
+                yield_force: 0.5 + 0.1 * (k % 3.0),
+                breaking_strain: 1.0,
+                hardening: 0.02,
+                is_joint: false,
+                state: if bonds.len() == 9 { BondState::Broken } else { BondState::Intact },
+            });
+        };
+        for j in 0..ny {
+            for i in 0..nx {
+                let a = j * nx + i;
+                if i + 1 < nx {
+                    link(a, a + 1);
+                }
+                if j + 1 < ny {
+                    link(a, a + nx);
+                    if i + 1 < nx {
+                        link(a, a + nx + 1);
+                    }
+                }
+            }
+        }
+        Lattice { nodes, bonds, section_area: 1.0, gauge_length: 6.0, spacing: 1.0 }
+    }
+
+    /// A deterministic, sign-mixed vector field over the nodes.
+    fn field(n: usize, salt: f64) -> Vec<Vec2> {
+        (0..n)
+            .map(|i| {
+                let t = i as f64 + salt;
+                Vec2::new((t * 1.7).sin() * 0.03, (t * 0.9).cos() * 0.02)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_cg_scalars_equal_separate_dot_passes() {
+        let lattice = mixed_lattice();
+        let mut s = Solver::empty();
+        s.reset(&lattice);
+        s.ensure_newton_scratch();
+        let n = s.pos.len();
+        s.disp = field(n, 0.0);
+        s.force_and_tangent();
+        s.build_diag();
+
+        // r·z from the preconditioner pass.
+        s.cg_r = field(n, 3.0);
+        for (r, g) in s.cg_r.iter_mut().zip(&s.grip) {
+            if *g != Grip::Free {
+                r.x = 0.0;
+            }
+        }
+        let rz = s.precondition();
+        assert_eq!(rz.to_bits(), dot(&s.cg_r, &s.cg_z).to_bits());
+
+        // p·q from the Hessian-vector product.
+        s.cg_p = field(n, 5.0);
+        let pq = s.apply_tangent();
+        assert_eq!(pq.to_bits(), dot(&s.cg_p, &s.cg_q).to_bits());
+    }
 }
